@@ -1,14 +1,12 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.Traversal
+import repro.graph.Traversal.{Counters, Substrate, Walk}
 import scala.collection.mutable
 
 /** Online phase 2 of QbS: Algorithm 4 — sketch-guided search.
   *
-  * Three stages on the sparsified graph `G⁻ = G[V \ R]` (a cached symmetric edge
-  * DataFrame; frontiers expand via broadcast joins, bookkeeping on the driver):
+  * Three stages on the sparsified graph `G⁻ = G[V \ R]` (the index's driver-side
+  * [[Substrate]]; no Spark job runs):
   *
   *  1. bi-directional BFS bounded by `d⊤_uv`, sides picked by Eq. (4) bounds then by
   *     visited-set size;
@@ -19,6 +17,9 @@ import scala.collection.mutable
   * Which of stages 2/3 run follows Eq. (5): reverse iff the searches met
   * (`d_{G⁻} ≤ d⊤`), recover iff `d⊤` is finite and no strictly-shorter `G⁻` path
   * exists (`d_{G⁻} ≥ d⊤`).
+  *
+  * Bi-BFS is the same loop with an empty sketch (`d⊤ = ∞`) on an unmasked
+  * substrate: Eq. (4) then reduces to picking the side with the smaller visited set.
   */
 object GuidedSearch {
 
@@ -29,72 +30,63 @@ object GuidedSearch {
                           usedReverse: Boolean, usedRecover: Boolean,
                           levels: Int, edgesTraversed: Long, millis: Double)
 
-  /** Labels of `vs` for landmark `r`, fetched from the cached label DataFrame. */
-  private def labelsFor(labels: DataFrame, r: Long, vs: Iterable[Long]): Map[Long, Int] =
-    labelsForMulti(labels, Seq(r -> vs.toSet)).map { case ((_, v), d) => v -> d }
-
-  /** One batched fetch for several (landmark, candidate-set) requests — a single
-    * Spark job regardless of how many sketch terminals need anchor labels. A
-    * broadcast join keeps the plan small even for thousands of candidates (an
-    * `isin` of that size would blow up the Catalyst expression tree).
+  /** One side of the bi-directional search: BFS depths (-1 = unvisited) and the
+    * vertices of each level; `d` is the number of expansions run.
     */
-  private def labelsForMulti(labels: DataFrame,
-                             reqs: Seq[(Long, Set[Long])]): Map[(Long, Long), Int] = {
-    val pairs = reqs.flatMap { case (r, vs) => vs.iterator.map(v => (r, v)) }
-    if (pairs.isEmpty) return Map.empty
-    val spark = labels.sparkSession
-    import spark.implicits._
-    val req = spark.createDataset(pairs).toDF("qlm", "qv")
-    labels.join(broadcast(req), col("lm") === col("qlm") && col("v") === col("qv"))
-      .select("lm", "v", "dist").collect()
-      .map(row => (row.getLong(0), row.getLong(1)) -> row.getInt(2)).toMap
+  private final class Side(root: Int, n: Int) {
+    val depth: Array[Int] = new Array[Int](n)
+    java.util.Arrays.fill(depth, -1)
+    depth(root) = 0
+    val layers = mutable.ArrayBuffer(Array(root))
+    var visited = 1
+    def d: Int = layers.size - 1
+    def frontier: Array[Int] = layers.last
   }
 
-  def run(gMinusSym: DataFrame, labels: DataFrame, delta: DataFrame,
-          sketch: Sketch.S, maxLevels: Int = 64): Result = {
+  def run(s: Substrate, sketch: Sketch.S): Result = {
     val t0 = System.nanoTime()
-    val c = new Traversal.Counters
-    val u = sketch.u; val v = sketch.v
+    val c = new Counters
+    val iu = s.indexOf(sketch.u); val iv = s.indexOf(sketch.v)
+    if (iu < 0 || iv < 0) // a vertex without edges reaches nothing
+      return Result(Set.empty, None, usedReverse = false, usedRecover = false, 0, 0,
+        (System.nanoTime() - t0) / 1e6)
     val INF = Int.MaxValue / 4
     val dTop = sketch.dTop.getOrElse(INF)
 
     // --- Stage 1: bounded bi-directional BFS on G⁻ ---------------------------------
-    val depthU = mutable.HashMap[Long, Int](u -> 0)
-    val depthV = mutable.HashMap[Long, Int](v -> 0)
-    var frontierU: Set[Long] = Set(u)
-    var frontierV: Set[Long] = Set(v)
-    var dU = 0; var dV = 0
-    var meet: Set[Long] = Set.empty
+    val su = new Side(iu, s.n); val sv = new Side(iv, s.n)
+    val meet = mutable.ArrayBuffer.empty[Int]
+    // With d⊤ finite a side keeps expanding after the other died: the recover stage
+    // anchors at depth min(σ - 1, d_t). With d⊤ = ∞ a dead side ends the search.
+    def alive: Boolean =
+      if (dTop < INF) su.frontier.nonEmpty || sv.frontier.nonEmpty
+      else su.frontier.nonEmpty && sv.frontier.nonEmpty
 
-    while (meet.isEmpty && dU + dV < dTop && dU + dV < maxLevels &&
-           (frontierU.nonEmpty || frontierV.nonEmpty)) {
+    while (meet.isEmpty && su.d + sv.d < dTop && alive) {
       // pick_search: prefer sides whose sketch bound is not yet reached (Eq. 4),
       // break ties by smaller visited set; a dead frontier disqualifies a side.
-      val canU = frontierU.nonEmpty; val canV = frontierV.nonEmpty
-      val wantU = canU && sketch.dStarU > dU
-      val wantV = canV && sketch.dStarV > dV
+      val canU = su.frontier.nonEmpty; val canV = sv.frontier.nonEmpty
+      val wantU = canU && sketch.dStarU > su.d
+      val wantV = canV && sketch.dStarV > sv.d
       val pickU =
         if (wantU != wantV) wantU
         else if (canU != canV) canU
-        else depthU.size <= depthV.size
-
-      if (pickU) {
-        val nbr = Traversal.neighborEdges(gMinusSym, frontierU, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthU.contains).toSet
-        dU += 1
-        newF.foreach(depthU(_) = dU)
-        frontierU = newF
-        meet = newF.filter(depthV.contains)
-      } else {
-        val nbr = Traversal.neighborEdges(gMinusSym, frontierV, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthV.contains).toSet
-        dV += 1
-        newF.foreach(depthV(_) = dV)
-        frontierV = newF
-        meet = newF.filter(depthU.contains)
+        else su.visited <= sv.visited
+      val (t, other) = if (pickU) (su, sv) else (sv, su)
+      val next = mutable.ArrayBuffer.empty[Int]
+      val dt = t.d + 1
+      s.expand(t.frontier, c) { (_, w) =>
+        if (t.depth(w) < 0) {
+          t.depth(w) = dt
+          next += w
+          if (other.depth(w) >= 0) meet += w
+        }
       }
+      t.layers += next.toArray
+      t.visited += next.size
     }
 
+    val dU = su.d; val dV = sv.d
     val dGminus = if (meet.nonEmpty) Some(dU + dV) else None
     val distance = (dGminus, sketch.dTop) match {
       case (Some(a), Some(b)) => Some(math.min(a, b))
@@ -102,71 +94,54 @@ object GuidedSearch {
     }
 
     val out = mutable.Set.empty[(Long, Long)]
-    // reverse walks from all stages run in lockstep: one frontier join per level
-    val walks = mutable.ArrayBuffer.empty[(Set[Long], Int, collection.Map[Long, Int])]
+    // reverse walks from all stages run in lockstep: one frontier expansion per level
+    val walks = mutable.ArrayBuffer.empty[Walk]
 
     // --- Stage 2: reverse search (paths inside G⁻) ----------------------------------
     val usedReverse = meet.nonEmpty
     if (usedReverse) {
       // All meet vertices sit at exactly (dU, dV); keep the filter as a guard.
-      val m = meet.filter(x => depthU(x) + depthV(x) == dU + dV)
-      walks += ((m, dU, depthU))
-      walks += ((m, dV, depthV))
+      val m = meet.filter(x => su.depth(x) + sv.depth(x) == dU + dV).toArray
+      walks += Walk(m, dU, su.depth)
+      walks += Walk(m, dV, sv.depth)
     }
 
     // --- Stage 3: recover search (paths through landmarks) --------------------------
     val usedRecover = sketch.dTop.isDefined && dGminus.forall(_ == dTop)
     if (usedRecover) {
-      def recoverSide(terminals: Map[Long, Int], depthT: mutable.HashMap[Long, Int],
-                      dT: Int): Unit = {
-        // one batched anchor-label fetch for all terminals of this side
-        val reqs = terminals.toSeq.map { case (r, sig) =>
-          val dm = math.min(sig - 1, dT)
-          r -> depthT.iterator.collect { case (w, d) if d == dm => w }.toSet
-        }
-        val anchorLabels = labelsForMulti(labels, reqs)
+      def recoverSide(terminals: Map[Long, Int], t: Side): Unit =
         for ((r, sig) <- terminals) {
-          val dm = math.min(sig - 1, dT)
-          val candidates = depthT.iterator.collect { case (w, d) if d == dm => w }.toSeq
-          val anchors = candidates
-            .filter(w => anchorLabels.get((r, w)).contains(sig - dm)).toSet
+          val dm = math.min(sig - 1, t.d)
+          val anchors = t.layers(dm).filter(w => s.label(r, w) == sig - dm)
           if (anchors.nonEmpty) {
             // forward: anchors -> r along label-decreasing G⁻ neighbours, then the
             // final hop (w, r) once δ = 1 (the label certifies the edge exists)
             var cur = anchors
             var dlt = sig - dm
             while (dlt > 1 && cur.nonEmpty) {
-              val nbr = Traversal.neighborEdges(gMinusSym, cur, c)
-              val cand = nbr.iterator.map(_._2).toSet
-              val nl = labelsFor(labels, r, cand)
-              val valid = cand.filter(w => nl.get(w).contains(dlt - 1))
-              nbr.foreach { case (a, b) =>
-                if (valid.contains(b)) out += ((math.min(a, b), math.max(a, b)))
+              val valid = mutable.BitSet.empty
+              val want = dlt - 1
+              s.expand(cur, c) { (a, b) =>
+                if (s.label(r, b) == want) { out += s.edge(a, b); valid += b }
               }
-              cur = valid
+              cur = valid.toArray
               dlt -= 1
             }
-            cur.foreach(w => out += ((math.min(w, r), math.max(w, r))))
+            cur.foreach(w => out += ((math.min(s.ids(w), r), math.max(s.ids(w), r))))
             // backward: anchors -> query vertex along the BFS depths
-            walks += ((anchors, dm, depthT))
+            walks += Walk(anchors, dm, t.depth)
           }
         }
-      }
-      recoverSide(sketch.terminalsU, depthU, dU)
-      recoverSide(sketch.terminalsV, depthV, dV)
+      recoverSide(sketch.terminalsU, su)
+      recoverSide(sketch.terminalsV, sv)
 
       // shortest paths between the sketch's landmarks: precomputed Δ segments
-      if (sketch.metaEdges.nonEmpty) {
-        val pairs = sketch.metaEdges.map { case (a, b) => (math.min(a, b), math.max(a, b)) }
-        val cond = pairs.map { case (a, b) =>
-          (col("r") === a && col("rp") === b)
-        }.reduce(_ || _)
-        delta.filter(cond).select("src", "dst").collect()
-          .foreach(row => out += ((row.getLong(0), row.getLong(1))))
+      sketch.metaEdges.foreach { case (a, b) =>
+        out ++= s.deltaEdges((math.min(a, b), math.max(a, b)))
       }
     }
 
-    out ++= Traversal.walkBackMulti(gMinusSym, walks.toSeq, c)
+    out ++= s.walkBack(walks.toSeq, c)
 
     Result(out.toSet, distance, usedReverse, usedRecover,
       c.levels, c.edgesTraversed, (System.nanoTime() - t0) / 1e6)

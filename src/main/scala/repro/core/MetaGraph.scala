@@ -40,16 +40,23 @@ final class MetaGraph(val landmarks: Seq[Long], metaEdges: Seq[(Long, Long, Int)
       case (a, b, w) if (a == math.min(r, rp)) && (b == math.max(r, rp)) => w
     }
 
+  /** Per landmark pair `(i, j)`, the canonical meta edges on a shortest path. */
+  private val spg: Array[Array[Seq[(Long, Long)]]] = {
+    val ends = edges.flatMap { case (a, b, w) =>
+      for (ia <- idx.get(a); ib <- idx.get(b)) yield (a, b, w, ia, ib) }
+    Array.tabulate(n, n) { (i, j) =>
+      if (dist(i)(j) >= INF) Nil
+      else ends.collect {
+        case (a, b, w, ia, ib) if math.min(dist(i)(ia) + w + dist(ib)(j),
+                                           dist(i)(ib) + w + dist(ia)(j)) == dist(i)(j) => (a, b)
+      }.distinct
+    }
+  }
+
   /** Canonical meta edges lying on at least one shortest `r`–`r'` path in `M`
-    * (the "shortest path graph of `(r, r')` in `M`" of Algorithm 3, line 10).
+    * (the "shortest path graph of `(r, r')` in `M`" of Algorithm 3, line 10),
+    * precomputed for every pair.
     */
   def spgEdges(r: Long, rp: Long): Seq[(Long, Long)] =
-    (for {
-      i <- idx.get(r).toSeq; j <- idx.get(rp).toSeq
-      d = dist(i)(j) if d < INF
-      (a, b, w) <- edges
-      ia <- idx.get(a); ib <- idx.get(b)
-      if math.min(dist(i)(ia) + w + dist(ib)(j),
-                  dist(i)(ib) + w + dist(ia)(j)) == d
-    } yield (a, b)).distinct
+    (for (i <- idx.get(r); j <- idx.get(rp)) yield spg(i)(j)).getOrElse(Nil)
 }

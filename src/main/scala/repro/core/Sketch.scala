@@ -23,6 +23,9 @@ object Sketch {
       if (ts.isEmpty) 0 else ts.values.max - 1
   }
 
+  /** The sketch with no landmark route: `d⊤ = ∞`, no terminals, no meta edges. */
+  def empty(u: Long, v: Long): S = S(u, v, None, Map.empty, Map.empty, Set.empty)
+
   /** Compute the sketch for `SPG(u, v)`.
     *
     * Pairs with `r = r'` are included (a path through a single landmark has
@@ -37,7 +40,7 @@ object Sketch {
       dm <- meta.distance(r, rp)
     } yield (r, rp, du + dm + dv)
 
-    if (candidates.isEmpty) S(u, v, None, Map.empty, Map.empty, Set.empty)
+    if (candidates.isEmpty) empty(u, v)
     else {
       val dTop = candidates.map(_._3).min
       val mins = candidates.filter(_._3 == dTop)

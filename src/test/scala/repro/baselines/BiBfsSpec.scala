@@ -46,6 +46,15 @@ class BiBfsSpec extends SparkSpec {
     assert(r.levels > 0 && r.edgesTraversed > 0)
   }
 
+  test("path 0–150: SPG(10, 140) is the 130-edge path (no level cap)") {
+    val path = (0L until 150L).map(i => (i, i + 1))
+    val sym = GraphOps.materialize(GraphOps.symmetric(GraphOps.fromPairs(spark, path)))
+    val r = BiBfs.spg(sym, 10L, 140L)
+    assert(r.distance === Some(130))
+    assert(r.edges === (10L until 140L).map(i => (i, i + 1)).toSet)
+    sym.unpersist()
+  }
+
   for (seed <- 1L to 3L) {
     test(s"random graph seed=$seed: Bi-BFS equals the reference") {
       val local = Fixtures.randomLocal(70, 3, seed)

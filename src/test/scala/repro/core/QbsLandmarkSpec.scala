@@ -26,6 +26,21 @@ class QbsLandmarkSpec extends SparkSpec {
     }
   }
 
+  test("landmark endpoints: seeded sweep equals the reference") {
+    val idx = QbS.build(spark, df, numLandmarks = 5)
+    val rnd = new scala.util.Random(17)
+    val pairs = for (r <- idx.landmarks; _ <- 1 to 4) yield {
+      val w = local.vertices(rnd.nextInt(local.vertices.length))
+      if (rnd.nextBoolean()) (r, w) else (w, r)
+    }
+    val lmPairs = for (r <- idx.landmarks; rp <- idx.landmarks if r < rp) yield (r, rp)
+    for ((u, v) <- pairs ++ lmPairs) {
+      val a = QbS.query(idx, u, v)
+      assert(a.edges === local.spg(u, v), s"pair ($u,$v)")
+      assert(a.distance === local.distance(u, v), s"distance ($u,$v)")
+    }
+  }
+
   test("more landmarks never shrink the meta-graph below connectivity needs") {
     // meta distances must agree with true landmark-to-landmark distances
     val idx = QbS.build(spark, df, numLandmarks = 6)
